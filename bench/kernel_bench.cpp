@@ -95,12 +95,6 @@ struct Inputs {
   std::vector<int64_t> i64_data;
   simd::AlignedVector<int64_t> counts;
   simd::AlignedVector<double> sums, sum_sqs;
-  // Coarsen side: sorted fine-bin values + prefix arrays.
-  std::vector<double> fine_values;
-  std::vector<int64_t> prefix_counts;
-  std::vector<double> prefix_sums, prefix_sum_sqs;
-  simd::AlignedVector<int64_t> out_counts;
-  simd::AlignedVector<double> out_sums, out_sum_sqs;
 
   explicit Inputs(size_t n) {
     Rng rng(2024);
@@ -123,25 +117,6 @@ struct Inputs {
       f64_data[i] = rng.NextDouble() * 100.0;
       i64_data[i] = rng.UniformInt(0, 999);
     }
-    fine_values.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      fine_values[i] = static_cast<double>(i) / static_cast<double>(n);
-    }
-    prefix_counts.resize(n + 1);
-    prefix_sums.resize(n + 1);
-    prefix_sum_sqs.resize(n + 1);
-    prefix_counts[0] = 0;
-    prefix_sums[0] = 0.0;
-    prefix_sum_sqs[0] = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double v = rng.NextDouble();
-      prefix_counts[i + 1] = prefix_counts[i] + 1;
-      prefix_sums[i + 1] = prefix_sums[i] + v;
-      prefix_sum_sqs[i + 1] = prefix_sum_sqs[i] + v * v;
-    }
-    out_counts.assign(64, 0);
-    out_sums.assign(64, 0.0);
-    out_sum_sqs.assign(64, 0.0);
   }
 };
 
@@ -185,15 +160,6 @@ const KernelCase kCases[] = {
        t.bin_index_into(in.p.data(), in.p.size(), 0.0, 1.0, 64,
                         in.idx.data());
        ConsumePtr(in.idx.data());
-     }},
-    {"coarsen_by_prefix_diff",
-     [](const simd::KernelTable& t, Inputs& in) {
-       t.coarsen_by_prefix_diff(
-           in.fine_values.data(), in.fine_values.size(), 0.0, 1.0, 64,
-           in.prefix_counts.data(), in.prefix_sums.data(),
-           in.prefix_sum_sqs.data(), in.out_counts.data(),
-           in.out_sums.data(), in.out_sum_sqs.data());
-       ConsumePtr(in.out_sums.data());
      }},
     {"accumulate_count_sum_sq_f64",
      [](const simd::KernelTable& t, Inputs& in) {

@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the engine kernels behind the
 // paper's cost components: binned aggregation (C_t / C_c), raw group-by,
-// predicate filtering, and the distance functions (C_d).
+// predicate filtering, the distance functions (C_d), and one whole
+// histogram-served probe (C_t + C_c + C_d + C_a).
 //
 //   $ ./build/bench/micro_engine [--benchmark_filter=...]
 
@@ -13,6 +14,7 @@
 #include "harness.h"
 #include "core/distance.h"
 #include "core/distribution.h"
+#include "core/view_evaluator.h"
 #include "data/nba.h"
 #include "storage/binned_group_by.h"
 #include "storage/group_by.h"
@@ -106,6 +108,39 @@ void BM_Distance(benchmark::State& state) {
 BENCHMARK(BM_Distance)
     ->ArgsProduct({{0, 3, 4},  // Euclidean, EMD, KL
                    {4, 64, 1024}});
+
+// One histogram-served candidate probe of SUM(3PAr) BY MP, the NBA MP
+// shape (at most 22 target and 651 comparison fine bins; B = 1440): the
+// deviation probe (C_t + C_c + C_d) plus the accuracy probe that reuses
+// its binned target (C_a), on warm base histograms.  One iteration is
+// one candidate, so ns/iteration is ns/probe.
+void BM_Probe(benchmark::State& state) {
+  const auto& ds = Nba();
+  static const muve::core::ViewSpace* kSpace = [] {
+    auto space = muve::core::ViewSpace::Create(Nba());
+    MUVE_CHECK(space.ok());
+    return new muve::core::ViewSpace(std::move(space).value());
+  }();
+  const int bins = static_cast<int>(state.range(0));
+  muve::core::ViewEvaluator::Options options;
+  options.use_base_histogram_cache = true;
+  muve::core::ViewEvaluator evaluator(ds, *kSpace, options);
+  const muve::core::View* view = nullptr;
+  for (const muve::core::View& v : kSpace->views()) {
+    if (v.dimension == "MP" && v.measure == "3PAr" &&
+        v.function == muve::storage::AggregateFunction::kSum) {
+      view = &v;
+    }
+  }
+  MUVE_CHECK(view != nullptr);
+  evaluator.PrewarmBaseHistograms();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(evaluator.EvaluateDeviation(*view, bins));
+    benchmark::DoNotOptimize(evaluator.EvaluateAccuracy(*view, bins));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Probe)->Arg(16)->Arg(180)->Arg(720)->Arg(1440);
 
 // Console reporter that additionally captures every finished run into
 // the shared BENCH_<name>.json schema when --json-out is active (the

@@ -4,13 +4,11 @@
 // per-lane multiply/add rounds exactly like its scalar counterpart, so
 // the only divergence from scalar_impl is reduction order (lane-boundary
 // re-association), which the ulp-bounded differential contract covers.
-// Kernels with bit-identity requirements (bin_index_into,
-// coarsen_by_prefix_diff, the keyed accumulators) are constructed so the
-// per-element operation sequence matches scalar exactly:
+// Kernels with bit-identity requirements (bin_index_into, the keyed
+// accumulators) are constructed so the per-element operation sequence
+// matches scalar exactly:
 //   * bin_index_into uses the same IEEE divide + truncate + clamp, with
 //     the boundary cases handled by blends instead of branches;
-//   * coarsen_by_prefix_diff shares the scalar run sweep and differs
-//     only in how the (bit-exact) index block is produced;
 //   * accumulate_* vectorizes only the gather/multiply of the measure
 //     values — the scatter-adds stay scalar, in row order.
 //
@@ -251,19 +249,6 @@ void BinIndexInto(const double* values, size_t n, double lo, double hi,
   }
 }
 
-void CoarsenByPrefixDiff(const double* values, size_t d, double lo,
-                         double hi, int num_bins,
-                         const int64_t* prefix_counts,
-                         const double* prefix_sums,
-                         const double* prefix_sum_sqs, int64_t* out_counts,
-                         double* out_sums, double* out_sum_sqs) {
-  CoarsenWithBinIndex(
-      [](const double* block, size_t len, double blo, double bhi, int nb,
-         int32_t* idx) { BinIndexInto(block, len, blo, bhi, nb, idx); },
-      values, d, lo, hi, num_bins, prefix_counts, prefix_sums,
-      prefix_sum_sqs, out_counts, out_sums, out_sum_sqs);
-}
-
 void AccumulateCountSumSqF64(const uint32_t* rows, size_t begin, size_t end,
                              const uint32_t* keys,
                              const uint64_t* validity_words,
@@ -318,7 +303,6 @@ const KernelTable& BuildTable() {
     t.relative_sse = &RelativeSse;
     t.normalize_into = &NormalizeInto;
     t.bin_index_into = &BinIndexInto;
-    t.coarsen_by_prefix_diff = &CoarsenByPrefixDiff;
     t.accumulate_count_sum_sq_f64 = &AccumulateCountSumSqF64;
     // Int64 measures need a 64-bit gather + exact int->double convert;
     // the scalar loop is already load-bound, so it is reused as-is.

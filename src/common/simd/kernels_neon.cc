@@ -1,7 +1,7 @@
 // NEON kernel table: 2-lane double ports of the simple reduction
 // kernels for aarch64 builds.  Only compiled when the build enables
 // MUVE_SIMD_NEON (aarch64 targets); the non-ported primitives (keyed
-// accumulators, coarsen, bin index, normalize) reuse the scalar
+// accumulators, bin index, normalize) reuse the scalar
 // reference implementations, which keeps the bit-identity contract
 // trivially satisfied for them.
 
@@ -110,7 +110,6 @@ const KernelTable& BuildTable() {
     t.relative_sse = &scalar_impl::RelativeSse;
     t.normalize_into = &scalar_impl::NormalizeInto;
     t.bin_index_into = &scalar_impl::BinIndexInto;
-    t.coarsen_by_prefix_diff = &scalar_impl::CoarsenByPrefixDiff;
     t.accumulate_count_sum_sq_f64 = &scalar_impl::AccumulateCountSumSqF64;
     t.accumulate_count_sum_sq_i64 = &scalar_impl::AccumulateCountSumSqI64;
     return t;

@@ -197,19 +197,6 @@ void BinIndexInto(const double* values, size_t n, double lo, double hi,
   }
 }
 
-void CoarsenByPrefixDiff(const double* values, size_t d, double lo,
-                         double hi, int num_bins,
-                         const int64_t* prefix_counts,
-                         const double* prefix_sums,
-                         const double* prefix_sum_sqs, int64_t* out_counts,
-                         double* out_sums, double* out_sum_sqs) {
-  CoarsenWithBinIndex(
-      [](const double* block, size_t len, double blo, double bhi, int nb,
-         int32_t* idx) { BinIndexInto(block, len, blo, bhi, nb, idx); },
-      values, d, lo, hi, num_bins, prefix_counts, prefix_sums,
-      prefix_sum_sqs, out_counts, out_sums, out_sum_sqs);
-}
-
 namespace {
 
 // Shared body of the keyed accumulators; mirrors fused_scan.cc's
@@ -270,7 +257,6 @@ const KernelTable& ScalarKernels() {
     t.relative_sse = &scalar_impl::RelativeSse;
     t.normalize_into = &scalar_impl::NormalizeInto;
     t.bin_index_into = &scalar_impl::BinIndexInto;
-    t.coarsen_by_prefix_diff = &scalar_impl::CoarsenByPrefixDiff;
     t.accumulate_count_sum_sq_f64 = &scalar_impl::AccumulateCountSumSqF64;
     t.accumulate_count_sum_sq_i64 = &scalar_impl::AccumulateCountSumSqI64;
     return t;

@@ -428,6 +428,7 @@ void MuvedServer::AcceptLoop() {
       default:
         break;
     }
+    SetTcpNoDelay(fd);
     {
       std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.connections_accepted;

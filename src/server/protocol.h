@@ -78,7 +78,8 @@ common::Status ReadFrame(int fd, std::string* payload,
                          const FrameTimeouts& timeouts,
                          FrameTimeoutKind* timed_out = nullptr);
 
-// Writes one frame (length prefix + payload).  kInvalidArgument when the
+// Writes one frame (length prefix + payload) with a single sendmsg()
+// over two iovecs, resuming partial writes.  kInvalidArgument when the
 // payload exceeds kMaxFrameBytes; kIoError on short/failed writes;
 // kDeadlineExceeded when `timeout_ms` > 0 and the peer would not accept
 // the whole frame within it (a never-reading peer with a full socket
@@ -103,8 +104,14 @@ JsonValue OverloadedResponse(const common::Status& status,
 // Builds an ok response skeleton {"ok":true,"op":<op>}.
 JsonValue OkResponse(std::string_view op);
 
-// Client-side: connects to 127.0.0.1:`port` (muved binds loopback only),
-// returning the connected fd.  The caller owns/closes it.
+// Sets TCP_NODELAY on a connected socket (best effort).  Both ends of a
+// muved connection set it: with Nagle on, a response that follows the
+// peer's un-ACKed request waits out the delayed-ACK timer (~40 ms).
+void SetTcpNoDelay(int fd);
+
+// Client-side: connects to 127.0.0.1:`port` (muved binds loopback only)
+// with TCP_NODELAY set, returning the connected fd.  The caller
+// owns/closes it.
 common::Result<int> DialLocal(int port);
 
 // One blocking request/response exchange on an open connection.

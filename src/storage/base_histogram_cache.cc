@@ -8,7 +8,6 @@
 #include "common/exec_context.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/simd/aligned.h"
 #include "common/simd/simd.h"
 #include "storage/fused_scan.h"
 
@@ -88,56 +87,89 @@ common::Result<BaseHistogram> BuildBaseHistogram(const Table& table,
   return std::move(built[0]);
 }
 
+void CoarsenBaseHistogramSparse(const BaseHistogram& base,
+                                AggregateFunction function, int num_bins,
+                                double lo, double hi,
+                                SparseBinnedResult* out) {
+  MUVE_CHECK(num_bins >= 1);
+  MUVE_CHECK(BaseServableFunction(function));
+  out->Reset(lo, hi, num_bins);
+  const size_t d = base.num_fine_bins();
+  if (d == 0) return;
+
+  // One run of consecutive fine bins per coarse bin (see the header).
+  // The bin indices come a block at a time from the dispatched kernel,
+  // which is bit-exact across levels, so the runs are too.  Run starts
+  // are found without branching on the data (a branch per fine bin
+  // mispredicts whenever b is near d); each run's moments are then the
+  // prefix differences between consecutive starts.  The output arrays
+  // are sized to the most runs possible, written by index, and trimmed.
+  const size_t max_runs = std::min(d, static_cast<size_t>(num_bins));
+  out->bins.resize(max_runs);
+  out->row_counts.resize(max_runs);
+  out->aggregates.resize(max_runs);
+  int32_t* out_bins = out->bins.data();
+  size_t* out_counts = out->row_counts.data();
+  double* out_aggregates = out->aggregates.data();
+  size_t emitted = 0;
+
+  const int64_t* counts = base.prefix_counts.data();
+  const double* sums = base.prefix_sums.data();
+  const double* sum_sqs = base.prefix_sum_sqs.data();
+  int32_t run_bin = -1;
+  int64_t count_at_start = 0;  // the prefixes at the open run's start
+  double sum_at_start = 0.0;
+  double sum_sq_at_start = 0.0;
+  // Closes the open run at fine bin `end`; empty runs emit nothing.
+  const auto close_run = [&](size_t end) {
+    const int64_t count = counts[end] - count_at_start;
+    // (`emitted < max_runs` always holds for sorted, NaN-free fine
+    // values; the check only keeps unsorted input inside the arrays.)
+    if (run_bin >= 0 && count > 0 && emitted < max_runs) {
+      out_bins[emitted] = run_bin;
+      out_counts[emitted] = static_cast<size_t>(count);
+      out_aggregates[emitted] =
+          FinishFromMoments(function, count, sums[end] - sum_at_start,
+                            sum_sqs[end] - sum_sq_at_start);
+      ++emitted;
+    }
+    count_at_start = counts[end];
+    sum_at_start = sums[end];
+    sum_sq_at_start = sum_sqs[end];
+  };
+
+  constexpr size_t kBlock = 512;
+  int32_t idx[kBlock];
+  uint16_t starts[kBlock];
+  const common::simd::KernelTable& kernels = common::simd::ActiveKernels();
+  for (size_t block = 0; block < d; block += kBlock) {
+    const size_t len = std::min(kBlock, d - block);
+    kernels.bin_index_into(base.values.data() + block, len, lo, hi, num_bins,
+                           idx);
+    size_t num_starts = 0;
+    int32_t prev = run_bin;
+    for (size_t j = 0; j < len; ++j) {
+      starts[num_starts] = static_cast<uint16_t>(j);
+      num_starts += idx[j] != prev ? 1 : 0;
+      prev = idx[j];
+    }
+    for (size_t r = 0; r < num_starts; ++r) {
+      close_run(block + starts[r]);
+      run_bin = idx[starts[r]];
+    }
+  }
+  close_run(d);
+  out->bins.resize(emitted);
+  out->row_counts.resize(emitted);
+  out->aggregates.resize(emitted);
+}
+
 BinnedResult CoarsenBaseHistogram(const BaseHistogram& base,
                                   AggregateFunction function, int num_bins,
                                   double lo, double hi) {
-  MUVE_CHECK(num_bins >= 1);
-  MUVE_CHECK(BaseServableFunction(function));
-
-  BinnedResult out;
-  out.lo = lo;
-  out.hi = hi;
-  out.num_bins = num_bins;
-  out.aggregates.resize(static_cast<size_t>(num_bins), 0.0);
-  out.row_counts.resize(static_cast<size_t>(num_bins), 0);
-
-  const size_t d = base.num_fine_bins();
-  // Group consecutive fine bins by their coarse bin under the SAME
-  // BinIndexFor the direct scan uses, so the row-to-bin assignment is
-  // identical by construction.  BinIndexFor is monotone non-decreasing
-  // in the value and the fine bins are sorted, so one forward pass
-  // suffices: O(d) bin-index evaluations, independent of num_bins —
-  // which matters when b greatly exceeds the number of distinct values
-  // (e.g. b_max = 1440 over a few hundred distinct minutes-played
-  // values; the earlier per-bin binary search was O(b log d) and
-  // dominated the probe).  Empty coarse bins are skipped implicitly
-  // (left at 0).  The pass runs through the SIMD kernel table's
-  // coarsen_by_prefix_diff (bit-identical across dispatch levels: the
-  // index computation is pinned bit-exact and the moment diffs subtract
-  // identical prefix values); per-thread aligned scratch keeps the
-  // moment slabs allocation-free across probes.
-  thread_local common::simd::AlignedVector<int64_t> counts;
-  thread_local common::simd::AlignedVector<double> sums;
-  thread_local common::simd::AlignedVector<double> sum_sqs;
-  const size_t nb = static_cast<size_t>(num_bins);
-  if (counts.size() < nb) {
-    counts.resize(nb);
-    sums.resize(nb);
-    sum_sqs.resize(nb);
-  }
-  common::simd::ActiveKernels().coarsen_by_prefix_diff(
-      base.values.data(), d, lo, hi, num_bins, base.prefix_counts.data(),
-      base.prefix_sums.data(), base.prefix_sum_sqs.data(), counts.data(),
-      sums.data(), sum_sqs.data());
-  for (size_t k = 0; k < nb; ++k) {
-    const int64_t count = counts[k];
-    if (count > 0) {
-      out.aggregates[k] =
-          FinishFromMoments(function, count, sums[k], sum_sqs[k]);
-      out.row_counts[k] = static_cast<size_t>(count);
-    }
-  }
-  return out;
+  SparseBinnedResult sparse;
+  CoarsenBaseHistogramSparse(base, function, num_bins, lo, hi, &sparse);
+  return ScatterDense(sparse);
 }
 
 void BaseRawSeries(const BaseHistogram& base, AggregateFunction function,

@@ -119,9 +119,24 @@ common::Result<BaseHistogram> BuildBaseHistogram(
     std::string_view measure, FusedScanScratch* scratch = nullptr);
 
 // Derives the `num_bins`-bin equi-width view over [lo, hi] by prefix-sum
-// differences.  Bin boundaries are located by binary search with the same
-// BinIndexFor the direct scan uses, so every row lands in the same bin as
-// under BinnedAggregate.  Requires BaseServableFunction(function).
+// differences, in sparse form, into `*out` (whose capacity is reused).
+// One forward pass over the d fine bins computes their coarse bins with
+// the SIMD bin_index_into, which reproduces the direct scan's
+// BinIndexFor bit for bit, so every row lands in the same bin as under
+// BinnedAggregate.  BinIndexFor is monotone and the fine bins are
+// sorted, so each coarse bin is one run of consecutive fine bins; each
+// run with rows becomes one entry, its moments the prefix differences
+// across the run, finished with FinishFromMoments.  O(d) work and at
+// most min(b, d) entries, whatever b is.  Requires
+// BaseServableFunction(function).
+void CoarsenBaseHistogramSparse(const BaseHistogram& base,
+                                AggregateFunction function, int num_bins,
+                                double lo, double hi,
+                                SparseBinnedResult* out);
+
+// The dense form of the same view: ScatterDense of
+// CoarsenBaseHistogramSparse.  For callers that need one slot per bin
+// (shared-scan batches, parity tests against BinnedAggregate).
 BinnedResult CoarsenBaseHistogram(const BaseHistogram& base,
                                   AggregateFunction function, int num_bins,
                                   double lo, double hi);

@@ -193,58 +193,6 @@ TEST_F(SimdKernelDifferentialTest, BinIndexIntoBitExactAcrossLevels) {
   }
 }
 
-TEST_F(SimdKernelDifferentialTest, CoarsenByPrefixDiffBitIdentical) {
-  const KernelTable& ref = ScalarKernels();
-  uint64_t case_index = 3000;
-  for (const KernelTable* table : VectorTables()) {
-    for (const size_t d : {size_t{0}, size_t{1}, size_t{5}, size_t{64},
-                           size_t{513}, size_t{4096}}) {
-      const uint64_t seed = testutil::FuzzSeed(case_index++);
-      SCOPED_TRACE(testutil::FuzzTrace(case_index - 1, seed));
-      SCOPED_TRACE(std::string("level=") + table->name +
-                   " d=" + std::to_string(d));
-      Rng rng(seed);
-      // Sorted distinct fine-bin values with clustered duplicates of
-      // coarse assignment.
-      std::vector<double> values(d);
-      double v = rng.Uniform(-2.0, 0.0);
-      for (size_t i = 0; i < d; ++i) {
-        v += rng.Uniform(1e-6, 0.05);
-        values[i] = v;
-      }
-      std::vector<int64_t> prefix_counts(d + 1, 0);
-      std::vector<double> prefix_sums(d + 1, 0.0), prefix_sum_sqs(d + 1, 0.0);
-      for (size_t i = 0; i < d; ++i) {
-        const int64_t c = rng.UniformInt(0, 9);
-        const double s = rng.Uniform(-50.0, 50.0);
-        prefix_counts[i + 1] = prefix_counts[i] + c;
-        prefix_sums[i + 1] = prefix_sums[i] + s;
-        prefix_sum_sqs[i + 1] = prefix_sum_sqs[i] + s * s;
-      }
-      for (const int num_bins : {1, 3, 16, 100}) {
-        const double lo = -2.0, hi = v + 1.0;
-        AlignedVector<int64_t> c_ref(num_bins, -1), c_vec(num_bins, -1);
-        AlignedVector<double> s_ref(num_bins, -1), s_vec(num_bins, -1);
-        AlignedVector<double> q_ref(num_bins, -1), q_vec(num_bins, -1);
-        ref.coarsen_by_prefix_diff(values.data(), d, lo, hi, num_bins,
-                                   prefix_counts.data(), prefix_sums.data(),
-                                   prefix_sum_sqs.data(), c_ref.data(),
-                                   s_ref.data(), q_ref.data());
-        table->coarsen_by_prefix_diff(values.data(), d, lo, hi, num_bins,
-                                      prefix_counts.data(),
-                                      prefix_sums.data(),
-                                      prefix_sum_sqs.data(), c_vec.data(),
-                                      s_vec.data(), q_vec.data());
-        for (int k = 0; k < num_bins; ++k) {
-          ASSERT_EQ(c_ref[k], c_vec[k]) << "bin " << k;
-          ASSERT_TRUE(BitEqual(s_ref[k], s_vec[k])) << "bin " << k;
-          ASSERT_TRUE(BitEqual(q_ref[k], q_vec[k])) << "bin " << k;
-        }
-      }
-    }
-  }
-}
-
 TEST_F(SimdKernelDifferentialTest, KeyedAccumulatorsBitIdentical) {
   const KernelTable& ref = ScalarKernels();
   uint64_t case_index = 4000;

@@ -12,8 +12,10 @@
 #include <cstring>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/simd/simd.h"
 #include "core/recommender.h"
+#include "data/nba.h"
 #include "test_util.h"
 
 namespace muve::core {
@@ -150,6 +152,97 @@ TEST_F(DispatchInvarianceTest, MuveMuveEightThreadsSameUtilities) {
         << "rank " << i << ": " << scalar_rec.views[i].utility << " vs "
         << vector_rec.views[i].utility;
   }
+}
+
+// The heavy shape: the 117-view NBA request (3 dimensions x 13 measures
+// x 3 functions; B = 1440 for MP) at alpha = (0.6, 0.2, 0.2) — ~60k
+// candidates whose probes all run the sparse coarsen / normalize /
+// distance path over warm base histograms.  Dispatch level must change
+// no bit of the top-k and no deterministic counter.
+class HeavyShapeDispatchInvarianceTest : public DispatchInvarianceTest {
+ protected:
+  static const Recommender& Nba() {
+    static const Recommender* recommender = [] {
+      auto created = Recommender::Create(data::MakeNbaDataset());
+      MUVE_CHECK(created.ok()) << created.status().ToString();
+      return new Recommender(std::move(created).value());
+    }();
+    return *recommender;
+  }
+
+  // `racy_pruning`: MuVE's shared pruning threshold at >1 thread makes
+  // the probe schedule (fully_probed, pruned counts, base hits, and the
+  // identities of exactly tied views) vary run to run even at one
+  // level; only the schedule-independent counters and the top-k
+  // utility profile are then comparable.
+  static void Check(HorizontalStrategy horizontal, VerticalStrategy vertical,
+                    int threads, bool racy_pruning, const char* what) {
+    SearchOptions options;
+    options.horizontal = horizontal;
+    options.vertical = vertical;
+    options.weights = Weights{0.6, 0.2, 0.2};
+    options.probe_order = ProbeOrderPolicy::kDeviationFirst;
+    options.num_threads = threads;
+
+    LevelGuard guard;
+    ASSERT_TRUE(simd::SetActiveLevel(simd::DispatchLevel::kScalar));
+    const Recommendation scalar = MustRecommend(Nba(), options);
+    ASSERT_TRUE(simd::SetActiveLevel(simd::BestSupportedLevel()));
+    const Recommendation native = MustRecommend(Nba(), options);
+
+    EXPECT_EQ(scalar.stats.views_searched, 117) << what;
+    if (racy_pruning) {
+      ASSERT_EQ(scalar.views.size(), native.views.size()) << what;
+      for (size_t i = 0; i < scalar.views.size(); ++i) {
+        EXPECT_TRUE(BitEqual(scalar.views[i].utility, native.views[i].utility))
+            << what << " rank " << i;
+      }
+    } else {
+      ExpectBitIdentical(scalar, native, what);
+    }
+    const ExecStats& a = scalar.stats;
+    const ExecStats& b = native.stats;
+    EXPECT_EQ(a.candidates_considered, b.candidates_considered) << what;
+    EXPECT_EQ(a.target_queries, b.target_queries) << what;
+    EXPECT_EQ(a.comparison_queries, b.comparison_queries) << what;
+    EXPECT_EQ(a.deviation_evals, b.deviation_evals) << what;
+    EXPECT_EQ(a.rows_scanned, b.rows_scanned) << what;
+    EXPECT_EQ(a.build_rows_scanned, b.build_rows_scanned) << what;
+    EXPECT_EQ(a.probe_rows_scanned, b.probe_rows_scanned) << what;
+    EXPECT_EQ(a.base_builds, b.base_builds) << what;
+    EXPECT_EQ(a.fused_builds, b.fused_builds) << what;
+    EXPECT_EQ(a.morsels_dispatched, b.morsels_dispatched) << what;
+    EXPECT_EQ(a.views_searched, b.views_searched) << what;
+    EXPECT_EQ(a.early_terminations, b.early_terminations) << what;
+    if (!racy_pruning) {
+      EXPECT_EQ(a.accuracy_evals, b.accuracy_evals) << what;
+      EXPECT_EQ(a.base_cache_hits, b.base_cache_hits) << what;
+      EXPECT_EQ(a.pruned_before_probes, b.pruned_before_probes) << what;
+      EXPECT_EQ(a.pruned_after_first_probe, b.pruned_after_first_probe)
+          << what;
+      EXPECT_EQ(a.fully_probed, b.fully_probed) << what;
+    }
+  }
+};
+
+TEST_F(HeavyShapeDispatchInvarianceTest, LinearLinearSerial) {
+  Check(HorizontalStrategy::kLinear, VerticalStrategy::kLinear, 1, false,
+        "nba linear-linear 1 thread");
+}
+
+TEST_F(HeavyShapeDispatchInvarianceTest, LinearLinearFourThreads) {
+  Check(HorizontalStrategy::kLinear, VerticalStrategy::kLinear, 4, false,
+        "nba linear-linear 4 threads");
+}
+
+TEST_F(HeavyShapeDispatchInvarianceTest, MuveMuveSerial) {
+  Check(HorizontalStrategy::kMuve, VerticalStrategy::kMuve, 1, false,
+        "nba muve-muve 1 thread");
+}
+
+TEST_F(HeavyShapeDispatchInvarianceTest, MuveMuveFourThreads) {
+  Check(HorizontalStrategy::kMuve, VerticalStrategy::kMuve, 4, true,
+        "nba muve-muve 4 threads");
 }
 
 // The stats block labels itself with the level that produced it.
