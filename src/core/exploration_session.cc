@@ -47,12 +47,9 @@ common::Status ExplorationSession::Materialize(DistanceKind distance) {
       }
       continue;
     }
-    std::vector<View> batch;
-    batch.reserve(group.size());
-    for (size_t idx : group) batch.push_back(views[idx]);
     for (int bins = 1; bins <= dim.max_bins; ++bins) {
       const ViewEvaluator::BatchScores batch_scores =
-          evaluator.EvaluateSharedBatch(batch, bins);
+          evaluator.EvaluateSharedBatch(group, bins);
       for (size_t g = 0; g < group.size(); ++g) {
         CandidateScores cs;
         cs.view_index = group[g];

@@ -258,9 +258,6 @@ std::vector<ScoredView> VerticalSharedLinear(WorkerSet& workers,
           }
           return;
         }
-        std::vector<View> batch;
-        batch.reserve(group.size());
-        for (size_t idx : group) batch.push_back(views[idx]);
         const std::vector<int> domain =
             BinDomain(options.partition, dim.max_bins);
         for (size_t b = 0; b < domain.size(); ++b) {
@@ -274,7 +271,7 @@ std::vector<ScoredView> VerticalSharedLinear(WorkerSet& workers,
             return;
           }
           const ViewEvaluator::BatchScores scores =
-              evaluator.EvaluateSharedBatch(batch, bins);
+              evaluator.EvaluateSharedBatch(group, bins);
           evaluator.stats().candidates_considered +=
               static_cast<int64_t>(group.size());
           evaluator.stats().fully_probed += static_cast<int64_t>(group.size());
@@ -346,8 +343,9 @@ std::vector<ScoredView> VerticalRefinement(WorkerSet& workers,
       refined.push_back(sv);
       continue;
     }
-    const HorizontalResult result = RunHorizontalSearch(
-        workers.main(), sv.view, domain, dim.max_bins, options, rng);
+    const HorizontalResult result =
+        RunHorizontalSearch(workers.main(), space.Find(sv.view), domain,
+                            dim.max_bins, options, rng);
     if (result.truncated) {
       main_comp.degraded = true;
       main_comp.bins_pruned_by_deadline += result.bins_skipped;

@@ -106,6 +106,12 @@ const DimensionInfo& ViewSpace::dimension_info(const std::string& name) const {
   return dims_[it->second];
 }
 
+const View& ViewSpace::Find(const View& view) const {
+  const auto it = std::find(views_.begin(), views_.end(), view);
+  MUVE_CHECK(it != views_.end()) << "view not in the space: " << view.Label();
+  return *it;
+}
+
 int ViewSpace::max_bins_overall() const {
   int best = 1;
   for (const DimensionInfo& d : dims_) best = std::max(best, d.max_bins);

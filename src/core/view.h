@@ -66,6 +66,11 @@ class ViewSpace {
 
   const DimensionInfo& dimension_info(const std::string& name) const;
 
+  // The element of views() equal to `view`; aborts when there is none.
+  // A linear scan, for callers holding a copy (the top-k refinement,
+  // tests): the evaluator takes views by reference into the space.
+  const View& Find(const View& view) const;
+
   // Maximum bin count across all dimensions (the vertical round-robin's
   // round limit).
   int max_bins_overall() const;

@@ -17,19 +17,19 @@ class CandidateTest : public ::testing::Test {
     auto space = ViewSpace::Create(dataset_);
     EXPECT_TRUE(space.ok());
     space_ = std::make_unique<ViewSpace>(std::move(space).value());
-    view_ = View{"x", "m1", storage::AggregateFunction::kSum};
+    view_ = &space_->Find(View{"x", "m1", storage::AggregateFunction::kSum});
   }
 
   data::Dataset dataset_;
   std::unique_ptr<ViewSpace> space_;
-  View view_;
+  const View* view_ = nullptr;
 };
 
 TEST_F(CandidateTest, FullEvaluationWithoutPruning) {
   ViewEvaluator eval(dataset_, *space_);
   SearchOptions options;
   const CandidateResult result = EvaluateCandidate(
-      eval, view_, 5, options, kNoThreshold, /*allow_pruning=*/false);
+      eval, *view_, 5, options, kNoThreshold, /*allow_pruning=*/false);
   ASSERT_EQ(result.outcome, CandidateResult::Outcome::kFullyEvaluated);
   EXPECT_EQ(result.scored.bins, 5);
   EXPECT_DOUBLE_EQ(result.scored.usability, 0.2);
@@ -46,7 +46,7 @@ TEST_F(CandidateTest, SBoundPrunesBeforeAnyProbe) {
   SearchOptions options;  // aD=0.2 aA=0.2 aS=0.6
   // bound = 0.4 + 0.6/10 = 0.46 <= threshold 0.5 -> pruned with no probes.
   const CandidateResult result = EvaluateCandidate(
-      eval, view_, 10, options, 0.5, /*allow_pruning=*/true);
+      eval, *view_, 10, options, 0.5, /*allow_pruning=*/true);
   EXPECT_EQ(result.outcome, CandidateResult::Outcome::kPrunedBeforeProbes);
   EXPECT_EQ(eval.stats().target_queries, 0);
   EXPECT_EQ(eval.stats().comparison_queries, 0);
@@ -61,7 +61,7 @@ TEST_F(CandidateTest, PartialBoundPrunesSecondProbe) {
   // below the S-bound so the first probe runs.
   const double s = Usability(10);
   ViewEvaluator probe_eval(dataset_, *space_);
-  const double deviation = probe_eval.EvaluateDeviation(view_, 10);
+  const double deviation = probe_eval.EvaluateDeviation(*view_, 10);
   const double after_first =
       options.weights.deviation * deviation + options.weights.accuracy +
       options.weights.usability * s;
@@ -70,7 +70,7 @@ TEST_F(CandidateTest, PartialBoundPrunesSecondProbe) {
   const double threshold = (after_first + before_any) / 2.0;
 
   const CandidateResult result = EvaluateCandidate(
-      eval, view_, 10, options, threshold, /*allow_pruning=*/true);
+      eval, *view_, 10, options, threshold, /*allow_pruning=*/true);
   EXPECT_EQ(result.outcome,
             CandidateResult::Outcome::kPrunedAfterFirstProbe);
   EXPECT_EQ(eval.stats().deviation_evals, 1);
@@ -86,7 +86,7 @@ TEST_F(CandidateTest, AccuracyFirstOrderSkipsDeviation) {
   const int bins = 2;
   const double s = Usability(bins);
   ViewEvaluator probe_eval(dataset_, *space_);
-  const double accuracy = probe_eval.EvaluateAccuracy(view_, bins);
+  const double accuracy = probe_eval.EvaluateAccuracy(*view_, bins);
   ASSERT_LT(accuracy, 1.0);  // coarse binning of a skewed series
   const double after_first = options.weights.deviation +
                              options.weights.accuracy * accuracy +
@@ -96,7 +96,7 @@ TEST_F(CandidateTest, AccuracyFirstOrderSkipsDeviation) {
 
   ViewEvaluator eval(dataset_, *space_);
   const CandidateResult result = EvaluateCandidate(
-      eval, view_, bins, options, threshold, /*allow_pruning=*/true);
+      eval, *view_, bins, options, threshold, /*allow_pruning=*/true);
   EXPECT_EQ(result.outcome,
             CandidateResult::Outcome::kPrunedAfterFirstProbe);
   EXPECT_EQ(eval.stats().accuracy_evals, 1);
@@ -109,7 +109,7 @@ TEST_F(CandidateTest, PruningDisabledEvaluatesEverything) {
   SearchOptions options;
   options.enable_incremental_evaluation = false;
   const CandidateResult result = EvaluateCandidate(
-      eval, view_, 10, options, 0.99, /*allow_pruning=*/true);
+      eval, *view_, 10, options, 0.99, /*allow_pruning=*/true);
   EXPECT_EQ(result.outcome, CandidateResult::Outcome::kFullyEvaluated);
   EXPECT_EQ(eval.stats().fully_probed, 1);
 }
@@ -122,13 +122,13 @@ TEST_F(CandidateTest, PrunedCandidateNeverBeatsThreshold) {
     for (double threshold : {0.2, 0.35, 0.5, 0.65, 0.8}) {
       ViewEvaluator pruning_eval(dataset_, *space_);
       const CandidateResult pruned = EvaluateCandidate(
-          pruning_eval, view_, bins, options, threshold, true);
+          pruning_eval, *view_, bins, options, threshold, true);
       if (pruned.outcome == CandidateResult::Outcome::kFullyEvaluated) {
         continue;
       }
       ViewEvaluator full_eval(dataset_, *space_);
       const CandidateResult full = EvaluateCandidate(
-          full_eval, view_, bins, options, kNoThreshold, false);
+          full_eval, *view_, bins, options, kNoThreshold, false);
       EXPECT_LE(full.scored.utility, threshold + 1e-12)
           << "bins=" << bins << " threshold=" << threshold;
     }
@@ -139,7 +139,7 @@ TEST_F(CandidateTest, ScoredViewToString) {
   ViewEvaluator eval(dataset_, *space_);
   SearchOptions options;
   const CandidateResult result = EvaluateCandidate(
-      eval, view_, 3, options, kNoThreshold, false);
+      eval, *view_, 3, options, kNoThreshold, false);
   const std::string text = result.scored.ToString();
   EXPECT_NE(text.find("SUM(m1) BY x"), std::string::npos);
   EXPECT_NE(text.find("[b=3]"), std::string::npos);

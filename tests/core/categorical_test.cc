@@ -72,7 +72,8 @@ TEST(CategoricalEvaluatorTest, AccuracyIsAlwaysPerfect) {
   auto space = ViewSpace::Create(ds);
   ASSERT_TRUE(space.ok());
   ViewEvaluator eval(ds, *space);
-  const View view{"color", "m1", storage::AggregateFunction::kSum};
+  const View& view =
+      space->Find(View{"color", "m1", storage::AggregateFunction::kSum});
   EXPECT_DOUBLE_EQ(eval.EvaluateAccuracy(view, 1), 1.0);
   EXPECT_EQ(eval.stats().accuracy_evals, 1);
   EXPECT_EQ(eval.stats().target_queries, 0);  // no query needed
@@ -95,7 +96,8 @@ TEST(CategoricalEvaluatorTest, DeviationDetectsSkewedTargetGroups) {
   ASSERT_TRUE(space.ok());
   ViewEvaluator eval(ds, *space);
   // Target rows are heavily red: the COUNT view over color deviates.
-  const View view{"color", "m1", storage::AggregateFunction::kCount};
+  const View& view =
+      space->Find(View{"color", "m1", storage::AggregateFunction::kCount});
   const double d = eval.EvaluateDeviation(view, 1);
   EXPECT_GT(d, 0.05);
   EXPECT_LE(d, 1.0);

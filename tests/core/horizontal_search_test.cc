@@ -18,13 +18,13 @@ class HorizontalSearchTest : public ::testing::Test {
     auto space = ViewSpace::Create(dataset_);
     EXPECT_TRUE(space.ok());
     space_ = std::make_unique<ViewSpace>(std::move(space).value());
-    view_ = View{"x", "m1", storage::AggregateFunction::kSum};
+    view_ = &space_->Find(View{"x", "m1", storage::AggregateFunction::kSum});
     domain_ = BinDomain(PartitionSpec{}, space_->dimension_info("x").max_bins);
   }
 
   data::Dataset dataset_;
   std::unique_ptr<ViewSpace> space_;
-  View view_;
+  const View* view_ = nullptr;
   std::vector<int> domain_;
 };
 
@@ -32,13 +32,13 @@ TEST_F(HorizontalSearchTest, LinearFindsTheArgmax) {
   ViewEvaluator eval(dataset_, *space_);
   SearchOptions options;
   const HorizontalResult result =
-      HorizontalLinear(eval, view_, domain_, options);
+      HorizontalLinear(eval, *view_, domain_, options);
   ASSERT_TRUE(result.best.has_value());
   // Cross-check against direct evaluation of every candidate.
   ViewEvaluator check(dataset_, *space_);
   double best_utility = -1.0;
   for (int bins : domain_) {
-    const auto cand = EvaluateCandidate(check, view_, bins, options,
+    const auto cand = EvaluateCandidate(check, *view_, bins, options,
                                         kNoThreshold, false);
     best_utility = std::max(best_utility, cand.scored.utility);
   }
@@ -63,7 +63,8 @@ TEST_P(MuveExactnessTest, MuveMatchesLinearOptimum) {
   ASSERT_TRUE(space.ok());
   SearchOptions options;
   options.weights = Weights{alpha_d, std::max(alpha_a, 0.0), alpha_s};
-  const View view{"x", "m2", storage::AggregateFunction::kAvg};
+  const View& view =
+      space->Find(View{"x", "m2", storage::AggregateFunction::kAvg});
   const auto domain =
       BinDomain(PartitionSpec{}, space->dimension_info("x").max_bins);
 
@@ -94,7 +95,7 @@ TEST_F(HorizontalSearchTest, MuveEarlyTerminationFiresAtHighUsabilityWeight) {
   SearchOptions options;
   options.weights = Weights{0.05, 0.05, 0.9};
   const HorizontalResult result =
-      HorizontalMuve(eval, view_, domain_, options, kNoThreshold);
+      HorizontalMuve(eval, *view_, domain_, options, kNoThreshold);
   EXPECT_TRUE(result.early_terminated);
   // Far fewer candidates touched than the domain holds.
   EXPECT_LT(eval.stats().candidates_considered,
@@ -102,7 +103,7 @@ TEST_F(HorizontalSearchTest, MuveEarlyTerminationFiresAtHighUsabilityWeight) {
   ASSERT_TRUE(result.best.has_value());
   // ...and still exact.
   ViewEvaluator linear_eval(dataset_, *space_);
-  const auto linear = HorizontalLinear(linear_eval, view_, domain_, options);
+  const auto linear = HorizontalLinear(linear_eval, *view_, domain_, options);
   EXPECT_DOUBLE_EQ(result.best->utility, linear.best->utility);
 }
 
@@ -112,9 +113,9 @@ TEST_F(HorizontalSearchTest, MuveWithoutPruningStillExact) {
   options.enable_incremental_evaluation = false;
   ViewEvaluator eval(dataset_, *space_);
   const auto muve =
-      HorizontalMuve(eval, view_, domain_, options, kNoThreshold);
+      HorizontalMuve(eval, *view_, domain_, options, kNoThreshold);
   ViewEvaluator linear_eval(dataset_, *space_);
-  const auto linear = HorizontalLinear(linear_eval, view_, domain_, options);
+  const auto linear = HorizontalLinear(linear_eval, *view_, domain_, options);
   ASSERT_TRUE(muve.best.has_value());
   EXPECT_DOUBLE_EQ(muve.best->utility, linear.best->utility);
   // With both optimizations off, MuVE degenerates to Linear's probe count.
@@ -127,7 +128,7 @@ TEST_F(HorizontalSearchTest, MuveMaximalThresholdTerminatesImmediately) {
   ViewEvaluator eval(dataset_, *space_);
   SearchOptions options;
   const HorizontalResult result =
-      HorizontalMuve(eval, view_, domain_, options, 1.0);
+      HorizontalMuve(eval, *view_, domain_, options, 1.0);
   EXPECT_FALSE(result.best.has_value());
   EXPECT_TRUE(result.early_terminated);
   EXPECT_EQ(eval.stats().target_queries, 0);
@@ -140,7 +141,7 @@ TEST_F(HorizontalSearchTest, MuveNearMaximalThresholdProbesOnlyFirstBin) {
   ViewEvaluator eval(dataset_, *space_);
   SearchOptions options;
   const HorizontalResult result =
-      HorizontalMuve(eval, view_, domain_, options, 0.999);
+      HorizontalMuve(eval, *view_, domain_, options, 0.999);
   EXPECT_TRUE(result.early_terminated);
   EXPECT_FALSE(result.best.has_value());  // b=1 cannot beat 0.999
   EXPECT_LE(eval.stats().candidates_considered, 1);
@@ -151,7 +152,7 @@ TEST_F(HorizontalSearchTest, HillClimbingReturnsValidCandidate) {
   SearchOptions options;
   common::Rng rng(options.hc_seed);
   const HorizontalResult result = HorizontalHillClimbing(
-      eval, view_, space_->dimension_info("x").max_bins, options, rng);
+      eval, *view_, space_->dimension_info("x").max_bins, options, rng);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_GE(result.best->bins, 1);
   EXPECT_LE(result.best->bins, space_->dimension_info("x").max_bins);
@@ -164,10 +165,10 @@ TEST_F(HorizontalSearchTest, HillClimbingNeverBeatsLinear) {
     ViewEvaluator hc_eval(dataset_, *space_);
     common::Rng rng(seed);
     const auto hc = HorizontalHillClimbing(
-        hc_eval, view_, space_->dimension_info("x").max_bins, options, rng);
+        hc_eval, *view_, space_->dimension_info("x").max_bins, options, rng);
     ViewEvaluator linear_eval(dataset_, *space_);
     const auto linear =
-        HorizontalLinear(linear_eval, view_, domain_, options);
+        HorizontalLinear(linear_eval, *view_, domain_, options);
     ASSERT_TRUE(hc.best.has_value());
     EXPECT_LE(hc.best->utility, linear.best->utility + 1e-12);
   }
@@ -177,10 +178,10 @@ TEST_F(HorizontalSearchTest, HillClimbingDeterministicGivenSeed) {
   SearchOptions options;
   ViewEvaluator eval_a(dataset_, *space_);
   common::Rng rng_a(7);
-  const auto a = HorizontalHillClimbing(eval_a, view_, 29, options, rng_a);
+  const auto a = HorizontalHillClimbing(eval_a, *view_, 29, options, rng_a);
   ViewEvaluator eval_b(dataset_, *space_);
   common::Rng rng_b(7);
-  const auto b = HorizontalHillClimbing(eval_b, view_, 29, options, rng_b);
+  const auto b = HorizontalHillClimbing(eval_b, *view_, 29, options, rng_b);
   ASSERT_TRUE(a.best.has_value());
   ASSERT_TRUE(b.best.has_value());
   EXPECT_EQ(a.best->bins, b.best->bins);
@@ -209,7 +210,7 @@ TEST_F(HorizontalSearchTest, MemoRehashDoesNotInvalidateCandidates) {
     ViewEvaluator eval(dataset_, *space_);
     common::Rng rng(seed);
     const HorizontalResult result =
-        HorizontalHillClimbing(eval, view_, max_bins, options, rng);
+        HorizontalHillClimbing(eval, *view_, max_bins, options, rng);
     ASSERT_TRUE(result.best.has_value());
     ASSERT_GE(result.best->bins, 1);
     ASSERT_LE(result.best->bins, max_bins);
@@ -217,7 +218,7 @@ TEST_F(HorizontalSearchTest, MemoRehashDoesNotInvalidateCandidates) {
     // the same (view, bins) pair from scratch yields the same utility.
     ViewEvaluator check(dataset_, *space_);
     const auto recomputed = EvaluateCandidate(
-        check, view_, result.best->bins, options, kNoThreshold, false);
+        check, *view_, result.best->bins, options, kNoThreshold, false);
     EXPECT_DOUBLE_EQ(result.best->utility, recomputed.scored.utility)
         << "seed " << seed << " bins " << result.best->bins;
     EXPECT_DOUBLE_EQ(result.best->deviation, recomputed.scored.deviation)
@@ -233,7 +234,7 @@ TEST_F(HorizontalSearchTest, GeometricDomainRestrictsCandidates) {
   const auto domain = BinDomain(geo, 29);  // {1,2,4,8,16}
   ViewEvaluator eval(dataset_, *space_);
   SearchOptions options;
-  const auto result = HorizontalLinear(eval, view_, domain, options);
+  const auto result = HorizontalLinear(eval, *view_, domain, options);
   ASSERT_TRUE(result.best.has_value());
   EXPECT_EQ(eval.stats().fully_probed, 5);
   // The winner's bin count is a power of two.
@@ -250,7 +251,7 @@ TEST_F(HorizontalSearchTest, DispatcherRoutesEachStrategy) {
     options.horizontal = strategy;
     ViewEvaluator eval(dataset_, *space_);
     const auto result =
-        RunHorizontalSearch(eval, view_, domain_, 29, options, rng);
+        RunHorizontalSearch(eval, *view_, domain_, 29, options, rng);
     EXPECT_TRUE(result.best.has_value());
   }
 }

@@ -17,9 +17,9 @@ TEST(SharedBatchTest, ScoresMatchPerViewProbes) {
   ASSERT_TRUE(space.ok());
 
   // All four (M, F) views over dimension x.
-  std::vector<View> batch;
-  for (const View& v : space->views()) {
-    if (v.dimension == "x") batch.push_back(v);
+  std::vector<size_t> batch;
+  for (size_t i = 0; i < space->views().size(); ++i) {
+    if (space->views()[i].dimension == "x") batch.push_back(i);
   }
   ASSERT_EQ(batch.size(), 4u);
 
@@ -28,12 +28,13 @@ TEST(SharedBatchTest, ScoresMatchPerViewProbes) {
     const auto scores = shared_eval.EvaluateSharedBatch(batch, bins);
     ViewEvaluator plain_eval(ds, *space);
     for (size_t i = 0; i < batch.size(); ++i) {
+      const View& view = space->views()[batch[i]];
       EXPECT_DOUBLE_EQ(scores.deviations[i],
-                       plain_eval.EvaluateDeviation(batch[i], bins))
-          << batch[i].Label() << " bins=" << bins;
+                       plain_eval.EvaluateDeviation(view, bins))
+          << view.Label() << " bins=" << bins;
       EXPECT_DOUBLE_EQ(scores.accuracies[i],
-                       plain_eval.EvaluateAccuracy(batch[i], bins))
-          << batch[i].Label() << " bins=" << bins;
+                       plain_eval.EvaluateAccuracy(view, bins))
+          << view.Label() << " bins=" << bins;
     }
     // One target + one comparison scan for the whole batch.
     EXPECT_EQ(shared_eval.stats().target_queries, 1);
@@ -47,9 +48,9 @@ TEST(SharedBatchTest, RawSeriesSharedAcrossBatchesAndBins) {
   const data::Dataset ds = testutil::MakeToyDataset();
   auto space = ViewSpace::Create(ds);
   ASSERT_TRUE(space.ok());
-  std::vector<View> batch;
-  for (const View& v : space->views()) {
-    if (v.dimension == "x") batch.push_back(v);
+  std::vector<size_t> batch;
+  for (size_t i = 0; i < space->views().size(); ++i) {
+    if (space->views()[i].dimension == "x") batch.push_back(i);
   }
   ViewEvaluator eval(ds, *space);
   eval.EvaluateSharedBatch(batch, 3);

@@ -8,6 +8,8 @@
 
 #include "server/muved_server.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,6 +98,38 @@ TEST_F(MuvedIntegrationTest, PingReportsDispatchLevel) {
   EXPECT_EQ(response.Find("simd")->string_value(),
             common::simd::ActiveLevelName());
   ::close(fd);
+}
+
+TEST_F(MuvedIntegrationTest, AcceptedSocketsDisableNagle) {
+  // The server runs in this process, so its end of the connection is one
+  // of our descriptors: the socket whose peer is the client's address.
+  StartServer();
+  const int client = Dial();
+  ASSERT_TRUE(IsOk(Call(client, Request("ping"))));  // accepted by now
+  sockaddr_in client_addr{};
+  socklen_t len = sizeof(client_addr);
+  ASSERT_EQ(::getsockname(client, reinterpret_cast<sockaddr*>(&client_addr),
+                          &len),
+            0);
+  int accepted = -1;
+  for (int fd = 0; fd < 1024 && accepted < 0; ++fd) {
+    if (fd == client) continue;
+    sockaddr_in peer{};
+    len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        peer.sin_family == AF_INET &&
+        peer.sin_port == client_addr.sin_port &&
+        peer.sin_addr.s_addr == client_addr.sin_addr.s_addr) {
+      accepted = fd;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "no descriptor is the server's end";
+  int no_delay = 0;
+  len = sizeof(no_delay);
+  ASSERT_EQ(
+      ::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &no_delay, &len), 0);
+  EXPECT_NE(no_delay, 0);
+  ::close(client);
 }
 
 TEST_F(MuvedIntegrationTest, UseThenRecommendInheritsSessionState) {
