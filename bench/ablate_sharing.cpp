@@ -1,14 +1,10 @@
-// Ablation: SeeDB-style shared scans vs MuVE pruning, plus the
-// base-histogram prefix-sum cache.
+// Ablation: sharing (the base-histogram prefix-sum cache) and pruning
+// (MuVE).
 //
-// Section II-A cites shared computation among views as an orthogonal
-// optimization class.  This bench pits the two against each other on
-// both datasets: sharing collapses the |M| x |F| same-dimension queries
-// of exhaustive search into one scan per (dimension, bin count), while
-// MuVE avoids executing most candidates at all.  They are NOT composable
-// (sharing eagerly computes what pruning would skip), so the interesting
-// question is which regime favors which — more measures favor sharing,
-// usability-heavy weights favor pruning.
+// Section II-A cites shared computation among views as an optimization
+// class orthogonal to pruning.  The first half sets exhaustive
+// Linear-Linear against MuVE-MuVE on both datasets, the query counts
+// showing how much of the candidate space pruning never executes.
 //
 // The second half ablates the base-histogram cache (the sharing form
 // that IS composable with pruning: one finest-granularity scan per
@@ -39,13 +35,10 @@ void RunDataset(const muve::data::Dataset& dataset,
   MUVE_CHECK(recommender.ok()) << recommender.status().ToString();
 
   auto linear = muve::bench::LinearLinear();
-  auto shared = muve::bench::LinearLinear();
-  shared.shared_scans = true;
   auto muve = muve::bench::MuveMuve();
-  linear.weights = shared.weights = muve.weights = weights;
+  linear.weights = muve.weights = weights;
 
   const auto r_linear = RunScheme(*recommender, linear);
-  const auto r_shared = RunScheme(*recommender, shared);
   const auto r_muve = RunScheme(*recommender, muve);
 
   muve::bench::TablePrinter table(
@@ -53,9 +46,6 @@ void RunDataset(const muve::data::Dataset& dataset,
   table.AddRow({"Linear-Linear", Ms(r_linear.cost_ms),
                 std::to_string(r_linear.stats.target_queries),
                 std::to_string(r_linear.stats.comparison_queries)});
-  table.AddRow({"Linear-Linear(Sh)", Ms(r_shared.cost_ms),
-                std::to_string(r_shared.stats.target_queries),
-                std::to_string(r_shared.stats.comparison_queries)});
   table.AddRow({"MuVE-MuVE", Ms(r_muve.cost_ms),
                 std::to_string(r_muve.stats.target_queries),
                 std::to_string(r_muve.stats.comparison_queries)});
@@ -147,7 +137,7 @@ void RunCacheAblation(const muve::data::Dataset& dataset) {
 
 int main(int argc, char** argv) {
   muve::bench::InitBench(&argc, argv);
-  std::cout << "=== Ablation: shared scans (SeeDB) vs pruning (MuVE) ===\n";
+  std::cout << "=== Ablation: exhaustive search vs pruning (MuVE) ===\n";
   const auto diab =
       muve::data::WithWorkloadSize(muve::data::MakeDiabDataset(), 3, 3, 3);
   const auto nba_wide =

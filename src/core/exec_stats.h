@@ -75,7 +75,7 @@ struct ExecStats {
   // Cross-request sharing: fused passes this run did NOT scan because an
   // identical pass was already in flight on the shared cache — the
   // single-flight scheduler parked this side and it woke to cache hits
-  // (SearchOptions::fused_coalescing).  0 on a run that shares nothing.
+  // (SearchOptions::shared_base_cache).  0 on a run that shares nothing.
   int64_t fused_coalesced = 0;
 
   // Chunked-storage accounting: column chunks the predicate layer never

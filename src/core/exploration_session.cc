@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/partitioner.h"
 #include "core/top_k_tracker.h"
 #include "core/view_evaluator.h"
 
@@ -18,47 +17,28 @@ common::Result<ExplorationSession> ExplorationSession::Create(
 common::Status ExplorationSession::Materialize(DistanceKind distance) {
   if (scores_.contains(distance)) return common::Status::OK();
 
+  // Prewarm once, then probe every (view, b) pair through the same
+  // evaluator Linear-Linear uses: one fused pass per side fills the
+  // store, and every probe after it coarsens a cached base histogram.
   ViewEvaluator::Options options;
   options.distance = distance;
-  // Materialization probes every (view, b) pair — the base-histogram
-  // cache's best case (one scan per (A, M) side, O(b) per candidate).
   options.use_base_histogram_cache = true;
   ViewEvaluator evaluator(dataset_, space_, options);
-  std::vector<CandidateScores> all;
+  evaluator.PrewarmBaseHistograms();
 
-  // Group same-dimension views so the numeric ones ride shared scans.
   const std::vector<View>& views = space_.views();
-  std::map<std::string, std::vector<size_t>> groups;
+  std::vector<CandidateScores> all;
   for (size_t i = 0; i < views.size(); ++i) {
-    groups[views[i].dimension].push_back(i);
-  }
-
-  for (const auto& [dim_name, group] : groups) {
-    const DimensionInfo& dim = space_.dimension_info(dim_name);
-    if (dim.categorical) {
-      for (size_t idx : group) {
-        CandidateScores cs;
-        cs.view_index = idx;
-        cs.bins = 1;
-        cs.deviation = evaluator.EvaluateDeviation(views[idx], 1);
-        cs.accuracy = evaluator.EvaluateAccuracy(views[idx], 1);
-        cs.usability = evaluator.CandidateUsability(views[idx], 1);
-        all.push_back(cs);
-      }
-      continue;
-    }
-    for (int bins = 1; bins <= dim.max_bins; ++bins) {
-      const ViewEvaluator::BatchScores batch_scores =
-          evaluator.EvaluateSharedBatch(group, bins);
-      for (size_t g = 0; g < group.size(); ++g) {
-        CandidateScores cs;
-        cs.view_index = group[g];
-        cs.bins = bins;
-        cs.deviation = batch_scores.deviations[g];
-        cs.accuracy = batch_scores.accuracies[g];
-        cs.usability = Usability(bins);
-        all.push_back(cs);
-      }
+    // A categorical dimension's max_bins is 1: its single candidate.
+    const int max_bins = space_.dimension_info(views[i].dimension).max_bins;
+    for (int bins = 1; bins <= max_bins; ++bins) {
+      CandidateScores cs;
+      cs.view_index = i;
+      cs.bins = bins;
+      cs.deviation = evaluator.EvaluateDeviation(views[i], bins);
+      cs.accuracy = evaluator.EvaluateAccuracy(views[i], bins);
+      cs.usability = evaluator.CandidateUsability(views[i], bins);
+      all.push_back(cs);
     }
   }
 

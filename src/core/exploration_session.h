@@ -6,12 +6,13 @@
 // user-defined-weights workflow of Section III-B) therefore should not
 // pay query-execution costs per adjustment.  ExplorationSession
 // materializes the full (view, bins) -> (D, A) score table once per
-// distance function (one exhaustive pass, shared scans) and answers any
-// subsequent (weights, k) recommendation by pure re-ranking.
+// distance function (one fused prewarm, then one exhaustive pass of the
+// same probes Linear-Linear runs) and answers any subsequent (weights, k)
+// recommendation by pure re-ranking.
 //
 // Recommendations equal the exhaustive Linear-Linear scheme's for every
-// weight setting; the session trades MuVE's per-query pruning for
-// across-query reuse.
+// weight setting — same views, bins and utility doubles; the session
+// trades MuVE's per-query pruning for across-query reuse.
 
 #ifndef MUVE_CORE_EXPLORATION_SESSION_H_
 #define MUVE_CORE_EXPLORATION_SESSION_H_

@@ -120,13 +120,4 @@ double AccuracyFromSparse(const std::vector<double>& raw_keys,
   return std::clamp(accuracy, 0.0, 1.0);
 }
 
-double AccuracyFromSeries(const std::vector<double>& raw_keys,
-                          const std::vector<double>& raw_aggregates,
-                          const storage::BinnedResult& binned) {
-  storage::SparseBinnedResult sparse;
-  storage::GatherNonEmpty(binned, &sparse);
-  AccuracyScratch scratch;
-  return AccuracyFromSparse(raw_keys, raw_aggregates, sparse, &scratch);
-}
-
 }  // namespace muve::core

@@ -71,12 +71,6 @@ double AccuracyFromSparse(const std::vector<double>& raw_keys,
                           const storage::SparseBinnedResult& binned,
                           AccuracyScratch* scratch);
 
-// The same objective for a dense binned view (shared-scan batches):
-// gathers its non-empty bins and calls AccuracyFromSparse.
-double AccuracyFromSeries(const std::vector<double>& raw_keys,
-                          const std::vector<double>& raw_aggregates,
-                          const storage::BinnedResult& binned);
-
 }  // namespace muve::core
 
 #endif  // MUVE_CORE_OBJECTIVES_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -23,8 +22,6 @@
 namespace muve::core {
 
 namespace {
-
-constexpr double kNoThreshold = -std::numeric_limits<double>::infinity();
 
 // Bin-count value of the r-th position of a partitioned domain; every
 // dimension's domain is a truncated prefix of this common sequence, which
@@ -209,87 +206,6 @@ std::vector<ScoredView> VerticalMuve(WorkerSet& workers,
     workers.main().stats().completeness.views_fully_searched +=
         static_cast<int64_t>(views.size());
   }
-  return tracker.TopK();
-}
-
-// Shared-scan exhaustive search (SeeDB's shared-computation optimization):
-// per dimension and bin count, one batch evaluates every (M, F) view.
-// Identical recommendations to Linear-Linear.  Dimensions are independent
-// batches, so they fan out across workers; no pruning is involved, which
-// keeps parallel runs bitwise-identical to serial ones.  Categorical-
-// dimension views fall back to per-view evaluation (their group-by is one
-// scan already).
-std::vector<ScoredView> VerticalSharedLinear(WorkerSet& workers,
-                                             const ViewSpace& space,
-                                             const SearchOptions& options) {
-  const std::vector<View>& views = space.views();
-  SharedTopKTracker tracker(options.k, views.size());
-
-  std::unordered_map<std::string, std::vector<size_t>> groups;
-  std::vector<std::string> dimension_order;
-  for (size_t i = 0; i < views.size(); ++i) {
-    auto [it, inserted] = groups.try_emplace(views[i].dimension);
-    if (inserted) dimension_order.push_back(views[i].dimension);
-    it->second.push_back(i);
-    ++workers.main().stats().views_searched;
-  }
-
-  workers.pool().ParallelFor(
-      dimension_order.size(), [&](size_t worker, size_t d) {
-        ViewEvaluator& evaluator = workers.evaluator(worker);
-        ExecCompleteness& comp = evaluator.stats().completeness;
-        const std::vector<size_t>& group = groups[dimension_order[d]];
-        const DimensionInfo& dim = space.dimension_info(dimension_order[d]);
-        if (dim.categorical) {
-          for (size_t g = 0; g < group.size(); ++g) {
-            // Boundary poll per categorical view (each is one group-by).
-            if (common::Expired(evaluator.exec())) {
-              comp.degraded = true;
-              comp.bins_pruned_by_deadline +=
-                  static_cast<int64_t>(group.size() - g);
-              return;
-            }
-            const size_t idx = group[g];
-            const CandidateResult cand = EvaluateCandidate(
-                evaluator, views[idx], 1, options, kNoThreshold,
-                /*allow_pruning=*/false);
-            tracker.Update(idx, cand.scored);
-            ++comp.views_fully_searched;
-          }
-          return;
-        }
-        const std::vector<int> domain =
-            BinDomain(options.partition, dim.max_bins);
-        for (size_t b = 0; b < domain.size(); ++b) {
-          const int bins = domain[b];
-          // Boundary poll per shared bin count: skipping one bin skips it
-          // for the whole batch.
-          if (common::Expired(evaluator.exec())) {
-            comp.degraded = true;
-            comp.bins_pruned_by_deadline +=
-                static_cast<int64_t>((domain.size() - b) * group.size());
-            return;
-          }
-          const ViewEvaluator::BatchScores scores =
-              evaluator.EvaluateSharedBatch(group, bins);
-          evaluator.stats().candidates_considered +=
-              static_cast<int64_t>(group.size());
-          evaluator.stats().fully_probed += static_cast<int64_t>(group.size());
-          const double s = Usability(bins);
-          for (size_t g = 0; g < group.size(); ++g) {
-            ScoredView scored;
-            scored.view = views[group[g]];
-            scored.bins = bins;
-            scored.deviation = scores.deviations[g];
-            scored.accuracy = scores.accuracies[g];
-            scored.usability = s;
-            scored.utility = Utility(options.weights, scored.deviation,
-                                     scored.accuracy, s);
-            tracker.Update(group[g], scored);
-          }
-        }
-        comp.views_fully_searched += static_cast<int64_t>(group.size());
-      });
   return tracker.TopK();
 }
 
@@ -485,8 +401,6 @@ common::Result<Recommendation> Recommender::Recommend(
   eval_options.sample_seed = options.sample_seed;
   eval_options.use_base_histogram_cache = options.base_histogram_cache;
   eval_options.fused_morsel_size = options.fused_morsel_size;
-  eval_options.fused_miss_batching = options.fused_miss_batching;
-  eval_options.fused_coalescing = options.fused_coalescing;
   eval_options.exec = &ctx;
   if (options.base_histogram_cache) {
     if (options.shared_base_cache != nullptr &&
@@ -525,14 +439,12 @@ common::Result<Recommendation> Recommender::Recommend(
   // never leaks an exception OR terminates the process.  The prewarm
   // fan-out runs the same pool, so it sits inside the same guard.
   try {
-    if (options.base_histogram_cache && options.fused_prewarm) {
-      // Fused prewarm: ONE morsel-parallel pass per side fills the shared
-      // cache with every eligible (A, M) base histogram before any
-      // strategy probes.  Must run here — before the strategy fan-out —
-      // because ParallelFor is not reentrant, so builds triggered inside
-      // worker lanes cannot themselves use the pool.
-      workers.main().PrewarmBaseHistograms(&workers.pool());
-    }
+    // Fused prewarm: ONE morsel-parallel pass per side fills the shared
+    // cache with every eligible (A, M) base histogram before any strategy
+    // probes (a no-op with the cache off).  Must run here — before the
+    // strategy fan-out — because ParallelFor is not reentrant, so builds
+    // triggered inside worker lanes cannot themselves use the pool.
+    workers.main().PrewarmBaseHistograms(&workers.pool());
     switch (options.approximation) {
       case VerticalApproximation::kRefinement:
         rec.views = VerticalRefinement(workers, space_, options, rng);
@@ -541,9 +453,7 @@ common::Result<Recommendation> Recommender::Recommend(
         rec.views = VerticalSkipping(workers, space_, options);
         break;
       case VerticalApproximation::kNone:
-        if (options.shared_scans) {
-          rec.views = VerticalSharedLinear(workers, space_, options);
-        } else if (options.vertical == VerticalStrategy::kMuve) {
+        if (options.vertical == VerticalStrategy::kMuve) {
           rec.views = VerticalMuve(workers, space_, options);
         } else {
           rec.views = VerticalLinear(workers, space_, options);

@@ -10,7 +10,6 @@
 #include "core/distribution.h"
 #include "core/objectives.h"
 #include "storage/group_by.h"
-#include "storage/multi_aggregate.h"
 
 namespace muve::core {
 
@@ -150,7 +149,7 @@ void ViewEvaluator::RunFusedBuild(
     storage::BaseHistogramCache::FusedHistogramBuildRequest request) {
   if (request.pairs.empty()) return;
   request.exec = options_.exec;
-  request.coalesce = options_.fused_coalescing;
+  request.coalesce = true;
   storage::BaseHistogramCache::FusedBuildOutcome outcome;
   const common::Status status = base_cache_->FusedBuild(
       *dataset_.table, request, &outcome, &fused_scratch_);
@@ -230,12 +229,8 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::FetchBase(
     // fire inside worker lanes, and ParallelFor is not reentrant.
     storage::BaseHistogramCache::FusedHistogramBuildRequest request;
     request.rows = &rows;
+    request.pairs = MissingPairs(&view.dimension, target_side);
     request.morsel_size = options_.fused_morsel_size;
-    if (options_.fused_miss_batching) {
-      request.pairs = MissingPairs(&view.dimension, target_side);
-    } else {
-      request.pairs.push_back({key, view.dimension, view.measure});
-    }
     RunFusedBuild(std::move(request));
   }
   bool built = false;
@@ -301,10 +296,8 @@ const storage::SparseBinnedResult& ViewEvaluator::ExecuteBinned(
     stats_.target_time_ms += ms;
     ++stats_.target_queries;
     cost_model_.Observe(CostKind::kTargetQuery, ms);
-    if (options_.reuse_target_within_candidate) {
-      target_slot_ = &slot;
-      target_bins_ = bins;
-    }
+    target_slot_ = &slot;
+    target_bins_ = bins;
   } else {
     stats_.comparison_time_ms += ms;
     ++stats_.comparison_queries;
@@ -465,154 +458,6 @@ double ViewEvaluator::EvaluateAccuracy(const View& view, int bins) {
   ++stats_.accuracy_evals;
   cost_model_.Observe(CostKind::kAccuracy, ms);
   return accuracy;
-}
-
-ViewEvaluator::BatchScores ViewEvaluator::EvaluateSharedBatch(
-    const std::vector<size_t>& view_indices, int bins) {
-  MUVE_CHECK(!view_indices.empty());
-  std::vector<ViewSlot*> slots;
-  slots.reserve(view_indices.size());
-  for (size_t idx : view_indices) {
-    slots.push_back(&SlotFor(space_.views().at(idx)));
-  }
-  const std::string& dimension = slots[0]->view->dimension;
-  const DimensionInfo& dim = *slots[0]->dim;
-  MUVE_CHECK(!dim.categorical)
-      << "shared scans apply to numeric dimensions only";
-
-  // Cache-eligible views derive their binned results per view from the
-  // shared base histograms (zero rows after first touch); the rest ride
-  // the legacy multi-aggregate shared scans.  Counter compatibility: one
-  // batch still charges exactly ONE target and ONE comparison query —
-  // the batch remains "one shared scan's worth" of querying regardless
-  // of which engine serves it.
-  std::vector<size_t> ineligible;
-  std::vector<storage::AggregateSpec> specs;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    MUVE_DCHECK(slots[i]->view->dimension == dimension)
-        << "batch must share one dimension";
-    if (!slots[i]->eligible) {
-      ineligible.push_back(i);
-      specs.push_back({slots[i]->view->measure, slots[i]->view->function});
-    }
-  }
-
-  std::vector<storage::BinnedResult> targets(slots.size());
-  std::vector<storage::BinnedResult> comparisons(slots.size());
-
-  common::Stopwatch target_timer;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i]->eligible) {
-      targets[i] = CoarsenBaseHistogram(
-          BaseFor(*slots[i], /*target_side=*/true), slots[i]->view->function,
-          bins, dim.lo, dim.hi);
-    }
-  }
-  if (!ineligible.empty()) {
-    auto multi = storage::MultiBinnedAggregate(
-        *dataset_.table, target_rows_, dimension, specs, bins,
-        dim.lo, dim.hi);
-    MUVE_CHECK(multi.ok()) << multi.status().ToString();
-    ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
-    for (size_t j = 0; j < ineligible.size(); ++j) {
-      targets[ineligible[j]] = std::move((*multi)[j]);
-    }
-  }
-  const double target_ms = target_timer.ElapsedMillis();
-  stats_.target_time_ms += target_ms;
-  ++stats_.target_queries;
-  cost_model_.Observe(CostKind::kTargetQuery, target_ms);
-
-  common::Stopwatch comparison_timer;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i]->eligible) {
-      comparisons[i] = CoarsenBaseHistogram(
-          BaseFor(*slots[i], /*target_side=*/false), slots[i]->view->function,
-          bins, dim.lo, dim.hi);
-    }
-  }
-  if (!ineligible.empty()) {
-    auto multi = storage::MultiBinnedAggregate(
-        *dataset_.table, all_rows_, dimension, specs, bins,
-        dim.lo, dim.hi);
-    MUVE_CHECK(multi.ok()) << multi.status().ToString();
-    ChargeProbeRows(static_cast<int64_t>(all_rows_.size()));
-    for (size_t j = 0; j < ineligible.size(); ++j) {
-      comparisons[ineligible[j]] = std::move((*multi)[j]);
-    }
-  }
-  const double comparison_ms = comparison_timer.ElapsedMillis();
-  stats_.comparison_time_ms += comparison_ms;
-  ++stats_.comparison_queries;
-  cost_model_.Observe(CostKind::kComparisonQuery, comparison_ms);
-
-  // Raw series for any view whose accuracy input is not cached yet:
-  // eligible views finish theirs from the base histogram, the rest share
-  // one multi group-by scan.
-  common::Stopwatch raw_timer;
-  bool raw_work = false;
-  std::vector<size_t> missing;
-  std::vector<storage::AggregateSpec> missing_specs;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i]->raw.has_value()) continue;
-    const View& view = *slots[i]->view;
-    if (slots[i]->eligible) {
-      RawSeries series;
-      BaseRawSeries(BaseFor(*slots[i], /*target_side=*/true), view.function,
-                    &series.keys, &series.aggregates);
-      slots[i]->raw.emplace(std::move(series));
-      raw_work = true;
-    } else {
-      missing.push_back(i);
-      missing_specs.push_back({view.measure, view.function});
-    }
-  }
-  if (!missing.empty()) {
-    auto raw = storage::MultiGroupByAggregate(
-        *dataset_.table, target_rows_, dimension, missing_specs);
-    MUVE_CHECK(raw.ok()) << raw.status().ToString();
-    ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
-    for (size_t m = 0; m < missing.size(); ++m) {
-      RawSeries series;
-      series.aggregates = (*raw)[m].aggregates;
-      series.keys.reserve((*raw)[m].num_groups());
-      for (const storage::Value& v : (*raw)[m].keys) {
-        auto d = v.ToDouble();
-        MUVE_CHECK(d.ok()) << d.status().ToString();
-        series.keys.push_back(*d);
-      }
-      slots[missing[m]]->raw.emplace(std::move(series));
-    }
-    raw_work = true;
-  }
-  if (raw_work) {
-    const double raw_ms = raw_timer.ElapsedMillis();
-    stats_.accuracy_time_ms += raw_ms;
-    cost_model_.Observe(CostKind::kAccuracy, raw_ms);
-  }
-
-  BatchScores scores;
-  scores.deviations.resize(slots.size());
-  scores.accuracies.resize(slots.size());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    common::Stopwatch distance_timer;
-    scores.deviations[i] = NormalizedSeriesDistance(
-        targets[i].aggregates, comparisons[i].aggregates);
-    const double distance_ms = distance_timer.ElapsedMillis();
-    stats_.deviation_time_ms += distance_ms;
-    ++stats_.deviation_evals;
-    cost_model_.Observe(CostKind::kDeviation, distance_ms);
-
-    common::Stopwatch accuracy_timer;
-    const RawSeries& raw = *slots[i]->raw;
-    scores.accuracies[i] =
-        AccuracyFromSeries(raw.keys, raw.aggregates, targets[i]);
-    const double accuracy_ms = accuracy_timer.ElapsedMillis();
-    stats_.accuracy_time_ms += accuracy_ms;
-    ++stats_.accuracy_evals;
-    cost_model_.Observe(CostKind::kAccuracy, accuracy_ms);
-  }
-  return scores;
 }
 
 double ViewEvaluator::CandidateUsability(const View& view, int bins) const {

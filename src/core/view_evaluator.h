@@ -15,8 +15,7 @@
 //     is computed once per view and cached; its computation time is
 //     charged to C_a on first use.
 //   * Within one candidate (view, bins), the binned target result is
-//     reused between the deviation and accuracy probes when
-//     `reuse_target_within_candidate` is set (default on).  This is a
+//     reused between the deviation and accuracy probes.  This is a
 //     strict optimization that cannot change any objective value.
 //   * Each view is resolved once (dimension, cache eligibility, base
 //     histograms, raw series) into a per-evaluator slot, and every
@@ -53,7 +52,6 @@ namespace muve::core {
 
 struct ViewEvaluatorOptions {
   DistanceKind distance = DistanceKind::kEuclidean;
-  bool reuse_target_within_candidate = true;
 
   // Sampling-based approximation (the third optimization family cited in
   // Section II-A alongside sharing and pruning): when < 1, every probe
@@ -82,27 +80,16 @@ struct ViewEvaluatorOptions {
   // and hands it to every pool worker's evaluator — safe because all
   // those evaluators probe identical row sets (same dataset, same
   // sampling draw).  When null and use_base_histogram_cache is set, the
-  // evaluator creates a private cache of default size.
+  // evaluator creates a private cache of default size.  Identical
+  // concurrent fused passes on the store coalesce into one single-flight
+  // scan (matters when `base_cache` is shared across requests); a parked
+  // pass is charged as ExecStats::fused_coalesced instead of a build.
   std::shared_ptr<storage::BaseHistogramCache> base_cache;
-
-  // Fused miss batching (the fused scan engine on the demand path): when
-  // a probe misses the base cache, build the histograms of EVERY still-
-  // missing eligible measure of that (dimension, side) in one fused
-  // traversal instead of one scan per (A, M).  Identical histograms —
-  // only the build schedule changes.  Off = per-pair builds (the PR 2
-  // behavior), kept for differential tests.
-  bool fused_miss_batching = true;
 
   // Rows per morsel for fused builds through this evaluator; 0 = engine
   // default.  Miss-batch builds run inline (no pool — they fire inside
   // worker lanes); PrewarmBaseHistograms takes the pool explicitly.
   size_t fused_morsel_size = 0;
-
-  // Coalesce identical concurrent fused passes on the cache into one
-  // single-flight scan (matters when `base_cache` is shared across
-  // requests; see SearchOptions::fused_coalescing).  A parked pass is
-  // charged as ExecStats::fused_coalesced instead of a build.
-  bool fused_coalescing = true;
 
   // Execution control (deadline / cancellation / row budget), or nullptr
   // for an unbounded run.  The evaluator never aborts a probe mid-flight
@@ -147,20 +134,6 @@ class ViewEvaluator {
   // The candidate's usability objective: 1/bins for numeric dimensions
   // (Eq. 3), 1/(distinct groups) for categorical ones.
   double CandidateUsability(const View& view, int bins) const;
-
-  // Shared-scan batch evaluation (SeeDB's shared-computation
-  // optimization): scores deviation and accuracy for every view of a
-  // same-dimension batch at bin count `bins` using ONE target scan, ONE
-  // comparison scan, and (first time per view) one shared raw scan.
-  // Values are identical to the per-view probes.  `view_indices` index
-  // space().views(); numeric dimensions only, and all views must share
-  // one dimension.  Scores come back in `view_indices` order.
-  struct BatchScores {
-    std::vector<double> deviations;
-    std::vector<double> accuracies;
-  };
-  BatchScores EvaluateSharedBatch(const std::vector<size_t>& view_indices,
-                                  int bins);
 
   // MuVE's probe-order priority rule (Section IV-A3): true when
   //   alpha_A / (C_t + C_a)  >  alpha_D / (C_t + C_c + C_d)
@@ -233,14 +206,14 @@ class ViewEvaluator {
   // Runs the binned target (`target_side`) or comparison query of
   // `slot` at `bins` into target_ / comparison_, charging C_t / C_c.
   // A target probe of the same (slot, bins) as the previous one is
-  // served from target_ when reuse_target_within_candidate is set.
+  // served from target_.
   const storage::SparseBinnedResult& ExecuteBinned(ViewSlot& slot, int bins,
                                                    bool target_side);
   double EvaluateCategoricalDeviation(const View& view);
   const RawSeries& RawTargetSeries(ViewSlot& slot);
   // Normalizes both aggregate series into the reusable aligned
   // distribution buffers (dist_p_ / dist_q_) and returns their distance —
-  // the dense tail of categorical and shared-batch deviation probes.
+  // the dense tail of categorical deviation probes.
   double NormalizedSeriesDistance(const std::vector<double>& target_aggs,
                                   const std::vector<double>& comparison_aggs);
 
@@ -253,10 +226,12 @@ class ViewEvaluator {
   // comparison row set.  A histogram already held by the slot counts one
   // base_cache_hits; otherwise FetchBase runs.
   const storage::BaseHistogram& BaseFor(ViewSlot& slot, bool target_side);
-  // Gets the histogram through the shared cache.  Charges the build's
-  // row scan into rows_scanned / base_builds on a miss and
-  // base_cache_hits otherwise; wall-clock is charged by the caller (the
-  // whole probe, build included, lands on the triggering cost kind).
+  // Gets the histogram through the shared cache; a miss builds every
+  // still-missing pair of the view's dimension on that side in one fused
+  // pass.  Charges the build's row scan into rows_scanned / base_builds
+  // on a miss and base_cache_hits otherwise; wall-clock is charged by the
+  // caller (the whole probe, build included, lands on the triggering
+  // cost kind).
   std::shared_ptr<const storage::BaseHistogram> FetchBase(const View& view,
                                                           bool target_side);
   // The cache-eligible (A, M) pairs of one side that are NOT cached yet,
@@ -301,8 +276,8 @@ class ViewEvaluator {
   int target_bins_ = -1;
   DeviationScratch deviation_scratch_;
   AccuracyScratch accuracy_scratch_;
-  // Aligned distribution buffers for the dense (categorical and
-  // shared-batch) deviation probes.
+  // Aligned distribution buffers for the dense (categorical) deviation
+  // probes.
   common::simd::AlignedVector<double> dist_p_;
   common::simd::AlignedVector<double> dist_q_;
 };

@@ -164,14 +164,6 @@ void CoarsenBaseHistogramSparse(const BaseHistogram& base,
   out->aggregates.resize(emitted);
 }
 
-BinnedResult CoarsenBaseHistogram(const BaseHistogram& base,
-                                  AggregateFunction function, int num_bins,
-                                  double lo, double hi) {
-  SparseBinnedResult sparse;
-  CoarsenBaseHistogramSparse(base, function, num_bins, lo, hi, &sparse);
-  return ScatterDense(sparse);
-}
-
 void BaseRawSeries(const BaseHistogram& base, AggregateFunction function,
                    std::vector<double>* keys,
                    std::vector<double>* aggregates) {

@@ -134,13 +134,6 @@ void CoarsenBaseHistogramSparse(const BaseHistogram& base,
                                 double lo, double hi,
                                 SparseBinnedResult* out);
 
-// The dense form of the same view: ScatterDense of
-// CoarsenBaseHistogramSparse.  For callers that need one slot per bin
-// (shared-scan batches, parity tests against BinnedAggregate).
-BinnedResult CoarsenBaseHistogram(const BaseHistogram& base,
-                                  AggregateFunction function, int num_bins,
-                                  double lo, double hi);
-
 // The raw (non-binned) series of the same (row set, dimension, measure)
 // pair under `function`: keys = distinct values, one aggregate per fine
 // bin.  Bit-exact vs GroupByAggregate for SUM/COUNT/AVG (same per-group

@@ -23,21 +23,6 @@ void GatherNonEmpty(const BinnedResult& dense, SparseBinnedResult* out) {
   }
 }
 
-BinnedResult ScatterDense(const SparseBinnedResult& sparse) {
-  BinnedResult out;
-  out.lo = sparse.lo;
-  out.hi = sparse.hi;
-  out.num_bins = sparse.num_bins;
-  out.aggregates.assign(static_cast<size_t>(sparse.num_bins), 0.0);
-  out.row_counts.assign(static_cast<size_t>(sparse.num_bins), 0);
-  for (size_t i = 0; i < sparse.size(); ++i) {
-    const size_t bin = static_cast<size_t>(sparse.bins[i]);
-    out.aggregates[bin] = sparse.aggregates[i];
-    out.row_counts[bin] = sparse.row_counts[i];
-  }
-  return out;
-}
-
 common::Result<BinnedResult> BinnedAggregate(
     const Table& table, const RowSet& rows, std::string_view dimension,
     std::string_view measure, AggregateFunction function, int num_bins,

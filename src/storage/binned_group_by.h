@@ -65,9 +65,6 @@ struct SparseBinnedResult {
 // The bins of `dense` with row_count > 0, into `*out`.
 void GatherNonEmpty(const BinnedResult& dense, SparseBinnedResult* out);
 
-// The dense form of `sparse`: unlisted bins hold 0 rows and aggregate 0.
-BinnedResult ScatterDense(const SparseBinnedResult& sparse);
-
 // Maps `value` to its bin index for range [lo, hi] with `num_bins` bins.
 // Values outside the range clamp to the first/last bin (robustness against
 // floating-point edge effects; the recommendation pipeline always bins with

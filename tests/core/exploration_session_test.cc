@@ -33,9 +33,15 @@ TEST(ExplorationSessionTest, MatchesLinearLinearForEveryWeightSetting) {
 
     ASSERT_EQ(via_session->size(), via_recommender->views.size())
         << weights.ToString();
+    // The session runs the very probes Linear-Linear runs, so the top-k
+    // matches exactly: same views, same bins, same utility doubles.
     for (size_t i = 0; i < via_session->size(); ++i) {
-      EXPECT_NEAR((*via_session)[i].utility,
-                  via_recommender->views[i].utility, 1e-12)
+      const ScoredView& got = (*via_session)[i];
+      const ScoredView& want = via_recommender->views[i];
+      EXPECT_EQ(got.view.Key(), want.view.Key())
+          << weights.ToString() << " rank " << i;
+      EXPECT_EQ(got.bins, want.bins) << weights.ToString() << " rank " << i;
+      EXPECT_EQ(got.utility, want.utility)
           << weights.ToString() << " rank " << i;
     }
   }

@@ -1,7 +1,8 @@
 // Exactness fuzzing: on randomly generated datasets — random shapes,
 // distributions, null patterns, and workloads — the three exact schemes
 // (Linear-Linear, MuVE-Linear, MuVE-MuVE) must recommend top-k sets with
-// identical utilities, and the exploration session must agree with them.
+// identical utilities, and the exploration session must agree with
+// Linear-Linear exactly (same views, bins and utility doubles).
 // This is the repository's strongest guard on the pruning logic: any
 // unsound bound shows up here as a utility mismatch.
 //
@@ -161,7 +162,12 @@ TEST_P(FuzzExactnessTest, ExactSchemesAndSessionAgree) {
       EXPECT_NEAR(r_mm->views[i].utility, expected, 1e-9)
           << "seed " << seed << " trial " << trial << " rank " << i
           << " weights " << base.weights.ToString();
-      EXPECT_NEAR((*r_session)[i].utility, expected, 1e-9)
+      // The session runs Linear-Linear's probes: exact agreement.
+      EXPECT_EQ((*r_session)[i].view.Key(), r_lin->views[i].view.Key())
+          << "seed " << seed << " trial " << trial << " rank " << i;
+      EXPECT_EQ((*r_session)[i].bins, r_lin->views[i].bins)
+          << "seed " << seed << " trial " << trial << " rank " << i;
+      EXPECT_EQ((*r_session)[i].utility, expected)
           << "seed " << seed << " trial " << trial << " rank " << i;
     }
   }
@@ -260,11 +266,6 @@ TEST_P(ParallelFuzzTest, EverySchemeIsThreadCountInvariant) {
     muve_muve.horizontal = HorizontalStrategy::kMuve;
     muve_muve.vertical = VerticalStrategy::kMuve;
     schemes.push_back(muve_muve);
-    SearchOptions shared = base;
-    shared.horizontal = HorizontalStrategy::kLinear;
-    shared.vertical = VerticalStrategy::kLinear;
-    shared.shared_scans = true;
-    schemes.push_back(shared);
     SearchOptions refine = base;
     refine.horizontal = HorizontalStrategy::kLinear;
     refine.vertical = VerticalStrategy::kLinear;

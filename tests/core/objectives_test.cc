@@ -18,6 +18,17 @@ storage::BinnedResult MakeBinned(double lo, double hi,
   return binned;
 }
 
+// The accuracy of a dense binned view: its non-empty bins are gathered
+// into the sparse form the probe path scores.
+double AccuracyFromDense(const std::vector<double>& raw_keys,
+                         const std::vector<double>& raw_aggregates,
+                         const storage::BinnedResult& binned) {
+  storage::SparseBinnedResult sparse;
+  storage::GatherNonEmpty(binned, &sparse);
+  AccuracyScratch scratch;
+  return AccuracyFromSparse(raw_keys, raw_aggregates, sparse, &scratch);
+}
+
 TEST(AccuracyTest, PerfectWhenEachValueOwnsABin) {
   // 4 distinct values, 4 bins, each bin holds exactly its value's mass:
   // representative = aggregate / 1 = raw value -> zero error.
@@ -26,7 +37,7 @@ TEST(AccuracyTest, PerfectWhenEachValueOwnsABin) {
   // Bins over [0,3] with 4 bins: widths 0.75 -> values 0,1,2,3 land in
   // bins 0,1,2,3.
   const auto binned = MakeBinned(0.0, 3.0, {5.0, 7.0, 9.0, 11.0});
-  EXPECT_DOUBLE_EQ(AccuracyFromSeries(keys, aggs, binned), 1.0);
+  EXPECT_DOUBLE_EQ(AccuracyFromDense(keys, aggs, binned), 1.0);
 }
 
 TEST(AccuracyTest, UniformSeriesStaysPerfectUnderCoarseBinning) {
@@ -35,9 +46,9 @@ TEST(AccuracyTest, UniformSeriesStaysPerfectUnderCoarseBinning) {
   const std::vector<double> keys = {0, 1, 2, 3, 4, 5};
   const std::vector<double> aggs(6, 4.0);
   const auto two_bins = MakeBinned(0.0, 5.0, {12.0, 12.0});
-  EXPECT_DOUBLE_EQ(AccuracyFromSeries(keys, aggs, two_bins), 1.0);
+  EXPECT_DOUBLE_EQ(AccuracyFromDense(keys, aggs, two_bins), 1.0);
   const auto one_bin = MakeBinned(0.0, 5.0, {24.0});
-  EXPECT_DOUBLE_EQ(AccuracyFromSeries(keys, aggs, one_bin), 1.0);
+  EXPECT_DOUBLE_EQ(AccuracyFromDense(keys, aggs, one_bin), 1.0);
 }
 
 TEST(AccuracyTest, SkewWithinBinReducesAccuracy) {
@@ -46,7 +57,7 @@ TEST(AccuracyTest, SkewWithinBinReducesAccuracy) {
   const std::vector<double> aggs = {1.0, 9.0};
   const auto binned = MakeBinned(0.0, 1.0, {10.0});
   // R = (1-5)^2/1 + (9-5)^2/81 = 16 + 0.1975..; A = 1 - R/2 < 0 -> clamped.
-  EXPECT_DOUBLE_EQ(AccuracyFromSeries(keys, aggs, binned), 0.0);
+  EXPECT_DOUBLE_EQ(AccuracyFromDense(keys, aggs, binned), 0.0);
 }
 
 TEST(AccuracyTest, ModerateErrorInUnitRange) {
@@ -55,7 +66,7 @@ TEST(AccuracyTest, ModerateErrorInUnitRange) {
   const auto binned = MakeBinned(0.0, 1.0, {10.0});
   // Representative 5: R = (4-5)^2/16 + (6-5)^2/36 = 0.0625 + 0.02777...
   const double expected = 1.0 - (0.0625 + 1.0 / 36.0) / 2.0;
-  EXPECT_NEAR(AccuracyFromSeries(keys, aggs, binned), expected, 1e-12);
+  EXPECT_NEAR(AccuracyFromDense(keys, aggs, binned), expected, 1e-12);
 }
 
 TEST(AccuracyTest, FinerBinningNeverLessAccurateForThisSeries) {
@@ -74,7 +85,7 @@ TEST(AccuracyTest, FinerBinningNeverLessAccurateForThisSeries) {
       bin_aggs[storage::BinIndexFor(keys[i], 0.0, 15.0, bins)] += aggs[i];
     }
     const double acc =
-        AccuracyFromSeries(keys, aggs, MakeBinned(0.0, 15.0, bin_aggs));
+        AccuracyFromDense(keys, aggs, MakeBinned(0.0, 15.0, bin_aggs));
     EXPECT_GE(acc + 1e-12, prev) << "bins=" << bins;
     prev = acc;
   }
@@ -86,11 +97,11 @@ TEST(AccuracyTest, ZeroRawValuesSkipRelativeTerms) {
   const std::vector<double> aggs = {0.0, 0.0, 5.0, 5.0};
   // 4 bins, perfect placement: zero values contribute nothing either way.
   const auto binned = MakeBinned(0.0, 3.0, {0.0, 0.0, 5.0, 5.0});
-  EXPECT_DOUBLE_EQ(AccuracyFromSeries(keys, aggs, binned), 1.0);
+  EXPECT_DOUBLE_EQ(AccuracyFromDense(keys, aggs, binned), 1.0);
 }
 
 TEST(AccuracyTest, EmptySeriesIsPerfect) {
-  EXPECT_DOUBLE_EQ(AccuracyFromSeries({}, {}, MakeBinned(0, 1, {0.0})), 1.0);
+  EXPECT_DOUBLE_EQ(AccuracyFromDense({}, {}, MakeBinned(0, 1, {0.0})), 1.0);
 }
 
 TEST(AccuracyTest, AlwaysInUnitRange) {
@@ -103,7 +114,7 @@ TEST(AccuracyTest, AlwaysInUnitRange) {
       bin_aggs[storage::BinIndexFor(keys[i], 0.0, 2.0, bins)] += aggs[i];
     }
     const double acc =
-        AccuracyFromSeries(keys, aggs, MakeBinned(0.0, 2.0, bin_aggs));
+        AccuracyFromDense(keys, aggs, MakeBinned(0.0, 2.0, bin_aggs));
     EXPECT_GE(acc, 0.0);
     EXPECT_LE(acc, 1.0);
   }

@@ -38,6 +38,7 @@
 #include "core/view_evaluator.h"
 #include "data/toy.h"
 #include "fuzz_util.h"
+#include "test_util.h"
 #include "storage/base_histogram_cache.h"
 
 // Heap allocations made while `armed`: this test binary replaces the
@@ -289,7 +290,7 @@ void CheckPair(const BaseHistogram& target, const BaseHistogram& comparison,
                                           &sparse_comparison);
 
       // The sparse form is the dense one's non-empty bins, exactly.
-      const BinnedResult scattered = storage::ScatterDense(sparse_comparison);
+      const BinnedResult scattered = testutil::ScatterDense(sparse_comparison);
       ASSERT_EQ(scattered.row_counts, dense_comparison.row_counts);
       for (size_t k = 0; k < scattered.aggregates.size(); ++k) {
         ASSERT_TRUE(BitEqual(scattered.aggregates[k],

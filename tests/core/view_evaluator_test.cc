@@ -68,15 +68,6 @@ TEST_F(ViewEvaluatorTest, StatsCountOperations) {
   EXPECT_GT(eval.stats().rows_scanned, 0);
 }
 
-TEST_F(ViewEvaluatorTest, NoReuseReExecutesTargetQuery) {
-  ViewEvaluatorOptions options;
-  options.reuse_target_within_candidate = false;
-  ViewEvaluator eval(dataset_, *space_, options);
-  eval.EvaluateDeviation(SumM1ByX(), 4);
-  eval.EvaluateAccuracy(SumM1ByX(), 4);
-  EXPECT_EQ(eval.stats().target_queries, 2);
-}
-
 TEST_F(ViewEvaluatorTest, ReuseCacheInvalidatedByDifferentBins) {
   ViewEvaluator eval(dataset_, *space_);
   eval.EvaluateDeviation(SumM1ByX(), 4);
@@ -95,15 +86,24 @@ TEST_F(ViewEvaluatorTest, RawSeriesCachedPerView) {
 }
 
 TEST_F(ViewEvaluatorTest, ReuseNeverChangesValues) {
-  ViewEvaluatorOptions reuse_off;
-  reuse_off.reuse_target_within_candidate = false;
-  ViewEvaluator with_reuse(dataset_, *space_);
-  ViewEvaluator without_reuse(dataset_, *space_, reuse_off);
+  // A probe that reuses the binned target of the candidate's first probe
+  // (in either order) must score exactly what a fresh evaluator scores.
+  ViewEvaluator deviation_first(dataset_, *space_);
+  ViewEvaluator accuracy_first(dataset_, *space_);
   for (int bins : {1, 3, 7, 15, 29}) {
-    EXPECT_DOUBLE_EQ(with_reuse.EvaluateDeviation(SumM1ByX(), bins),
-                     without_reuse.EvaluateDeviation(SumM1ByX(), bins));
-    EXPECT_DOUBLE_EQ(with_reuse.EvaluateAccuracy(SumM1ByX(), bins),
-                     without_reuse.EvaluateAccuracy(SumM1ByX(), bins));
+    SCOPED_TRACE("bins=" + std::to_string(bins));
+    const double deviation =
+        ViewEvaluator(dataset_, *space_).EvaluateDeviation(SumM1ByX(), bins);
+    const double accuracy =
+        ViewEvaluator(dataset_, *space_).EvaluateAccuracy(SumM1ByX(), bins);
+    EXPECT_DOUBLE_EQ(deviation_first.EvaluateDeviation(SumM1ByX(), bins),
+                     deviation);
+    EXPECT_DOUBLE_EQ(deviation_first.EvaluateAccuracy(SumM1ByX(), bins),
+                     accuracy);
+    EXPECT_DOUBLE_EQ(accuracy_first.EvaluateAccuracy(SumM1ByX(), bins),
+                     accuracy);
+    EXPECT_DOUBLE_EQ(accuracy_first.EvaluateDeviation(SumM1ByX(), bins),
+                     deviation);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "storage/binned_group_by.h"
 #include "storage/group_by.h"
 #include "storage/table.h"
+#include "test_util.h"
 
 namespace muve::storage {
 namespace {
@@ -84,8 +85,9 @@ TEST(BaseHistogramTest, CoarsenMatchesDirectScanAllBinCounts) {
         auto direct = BinnedAggregate(table, rows, "d", "m", function,
                                       bins, lo, hi);
         ASSERT_TRUE(direct.ok());
-        const BinnedResult derived =
-            CoarsenBaseHistogram(*base, function, bins, lo, hi);
+        SparseBinnedResult sparse;
+        CoarsenBaseHistogramSparse(*base, function, bins, lo, hi, &sparse);
+        const BinnedResult derived = testutil::ScatterDense(sparse);
         ASSERT_EQ(derived.num_bins, direct->num_bins);
         for (int b = 0; b < bins; ++b) {
           // Row-to-bin assignment must match exactly in all cases.
@@ -121,8 +123,10 @@ TEST(BaseHistogramTest, CoarsenMatchesDirectScanWithClampedRange) {
     auto direct = BinnedAggregate(table, rows, "d", "m",
                                   AggregateFunction::kSum, bins, 4.0, 11.0);
     ASSERT_TRUE(direct.ok());
-    const BinnedResult derived = CoarsenBaseHistogram(
-        *base, AggregateFunction::kSum, bins, 4.0, 11.0);
+    SparseBinnedResult sparse;
+    CoarsenBaseHistogramSparse(*base, AggregateFunction::kSum, bins, 4.0,
+                               11.0, &sparse);
+    const BinnedResult derived = testutil::ScatterDense(sparse);
     for (int b = 0; b < bins; ++b) {
       EXPECT_EQ(derived.row_counts[b], direct->row_counts[b]) << b;
       EXPECT_EQ(derived.aggregates[b], direct->aggregates[b]) << b;

@@ -3,7 +3,8 @@
 //
 // For fuzzed (predicate, scheme, alphas, k) configurations the SAME
 // recommendation request runs three ways —
-//   1. isolated:  per-request cache, no coalescing (the pre-sharing path);
+//   1. isolated:  per-request cache, which nothing else can coalesce on
+//                 (the pre-sharing path);
 //   2. shared:    one cross-request BaseHistogramCache reused warm across
 //                 every request on the entry, coalescing on;
 //   3. shared x8: eight concurrent requests racing the same cold shared
@@ -144,7 +145,6 @@ TEST(CrossQueryCacheTest, FuzzSharedCachesAreSemanticallyInvisible) {
     // 1. Isolated: the pre-sharing execution path.
     SearchOptions isolated = base;
     isolated.shared_base_cache = nullptr;
-    isolated.fused_coalescing = false;
     auto want = entry.recommender->Recommend(isolated);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
@@ -175,7 +175,6 @@ TEST(CrossQueryCacheTest, FuzzConcurrentRequestsOnOneColdStoreAgree) {
 
     SearchOptions isolated = base;
     isolated.shared_base_cache = nullptr;
-    isolated.fused_coalescing = false;
     auto want = rec->Recommend(isolated);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 

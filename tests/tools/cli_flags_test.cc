@@ -91,6 +91,13 @@ TEST(CliFlags, MalformedDoubleValuesExitTwo) {
   ExpectRejected("--weights=0.5,inf,0.1", "--weights");
 }
 
+// Flags of plans the engine no longer has are rejected like any other
+// unknown flag, not silently ignored.
+TEST(CliFlags, RemovedPlanFlagsAreUnknown) {
+  ExpectRejected("--shared", "unknown flag: --shared");
+  ExpectRejected("--no-fused-prewarm", "unknown flag: --no-fused-prewarm");
+}
+
 TEST(CliFlags, ValidBoundaryValuesStillWork) {
   int exit_code = -1;
   const std::string output = RunCommand(
